@@ -24,11 +24,11 @@ Hardware-faithful details we model:
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
 from repro.multicast.base import MulticastResult, MulticastScheme
+from repro.routing.updown import Phase
 from repro.sim.messaging import HostReceiver, host_send, host_send_multiworm
 from repro.sim.network import SimNetwork
 from repro.sim.worm import Deliver, Forward
@@ -45,21 +45,19 @@ class TreeWormPlan:
 
 
 def _down_distance_table(net: SimNetwork) -> dict[int, dict[int, int]]:
-    """dist[s][t] = minimum number of down traversals from s to t."""
-    topo, rt = net.topo, net.routing
-    dist: dict[int, dict[int, int]] = {}
-    for s in range(topo.num_switches):
-        d = {s: 0}
-        frontier = deque([s])
-        while frontier:
-            u = frontier.popleft()
-            for lk in rt.down_links_of(u):
-                v = lk.other_end(u).switch
-                if v not in d:
-                    d[v] = d[u] + 1
-                    frontier.append(v)
-        dist[s] = d
-    return dist
+    """dist[s][t] = minimum number of down traversals from s to t.
+
+    A packet in the DOWN phase may only take down links, so this is the
+    routing's DOWN-phase distance wherever that state reaches ``t``.
+    """
+    distance, reachable = net.routing.distance, net.routing.reachable
+    switches = range(net.topo.num_switches)
+    down = Phase.DOWN
+    return {
+        s: {t: distance(s, t, down) for t in switches
+            if reachable(s, down, t)}
+        for s in switches
+    }
 
 
 def plan_tree_worm(net: SimNetwork, source_switch: int,

@@ -7,9 +7,12 @@ followed by zero or more links in the down direction -- a packet may never go
 up after having gone down.  Because the directed "up" links form a DAG, the
 rule is deadlock-free.
 
-This module computes, for every (switch, routing phase, destination switch)
-triple, the set of next hops that lie on a *minimal* legal route, which is
-what both the adaptive and the deterministic routing policies consult.
+This module answers, for any (switch, routing phase, destination switch)
+triple, which next hops lie on a *minimal* legal route; both the adaptive
+and the deterministic routing policies consult it.  :meth:`UpDownRouting.build`
+stores one flat list of minimal legal hop counts per destination, indexed by
+the state ``2*switch + phase``, plus each state's legal moves; a next-hop
+query keeps the moves that land one hop closer.
 """
 
 from __future__ import annotations
@@ -44,16 +47,21 @@ class Hop:
 class UpDownRouting:
     """Routing tables for the up*/down* scheme.
 
-    Build one per topology via :meth:`build`; all queries are O(1) lookups.
+    Build one per topology via :meth:`build`, which fills every table; the
+    object is never changed afterwards.  :meth:`distance` and
+    :meth:`reachable` are O(1) list lookups; :meth:`next_hops` filters the
+    state's legal moves (at most its link count) against the distances.
     """
 
     topo: NetworkTopology
     tree: BfsTree
     _up_end: dict[int, int] = field(default_factory=dict, repr=False)
-    _dist: list[dict[tuple[int, Phase], int]] = field(default_factory=list, repr=False)
-    _hops: list[dict[tuple[int, Phase], tuple[Hop, ...]]] = field(
+    _moves: list[tuple[tuple[Hop, int], ...]] = field(
         default_factory=list, repr=False
     )
+    """Legal ``(hop, next state)`` moves per state, in link order."""
+    _dist: list[list[int]] = field(default_factory=list, repr=False)
+    """Per destination, hop count from each state; -1 when unreachable."""
 
     # ------------------------------------------------------------------
     # Construction
@@ -125,46 +133,36 @@ class UpDownRouting:
     # ------------------------------------------------------------------
     # Minimal-route tables
     # ------------------------------------------------------------------
-    def _legal_transitions(self, switch: int, phase: Phase) -> list[tuple[SwitchLink, int, Phase]]:
-        """All (link, neighbour, next phase) moves legal from a state."""
-        out: list[tuple[SwitchLink, int, Phase]] = []
-        for lk in self.topo.links_of(switch):
-            t = lk.other_end(switch).switch
-            if self.is_up_traversal(lk, switch):
-                if phase is Phase.UP:
-                    out.append((lk, t, Phase.UP))
-            else:
-                out.append((lk, t, Phase.DOWN))
-        return out
-
     def _compute_tables(self) -> None:
-        """All-pairs BFS over the (switch, phase) state graph, per destination."""
-        S = self.topo.num_switches
-        self._dist = [dict() for _ in range(S)]
-        self._hops = [dict() for _ in range(S)]
-        states = [(s, p) for s in range(S) for p in (Phase.UP, Phase.DOWN)]
-        trans = {st: self._legal_transitions(*st) for st in states}
-        # The per-destination backward BFS runs on flat integer state ids
-        # with the (destination-independent) reverse adjacency built once:
-        # at the sharded-runner scales (512-1024 switches) rebuilding the
-        # adjacency per destination and hashing (switch, Phase) tuples in
-        # the inner loops dominated table construction.  The enum-keyed
-        # dicts stay the external table format, and visit/append orders are
-        # unchanged, so the resulting tables are identical.
-        sid = {st: i for i, st in enumerate(states)}
-        rev: list[list[int]] = [[] for _ in states]
-        moves_of: list[list[tuple[Hop, int]]] = [[] for _ in states]
-        for st, moves in trans.items():
-            i = sid[st]
-            for lk, t, np_ in moves:
-                j = sid[(t, np_)]
-                moves_of[i].append((Hop(lk, t, np_), j))
-                rev[j].append(i)
-        for dest in range(S):
-            dist = [-1] * len(states)
-            up, down = sid[(dest, Phase.UP)], sid[(dest, Phase.DOWN)]
-            dist[up] = dist[down] = 0
-            frontier = [up, down]
+        """Backward BFS over the (switch, phase) state graph, per destination.
+
+        State ``2*switch + phase`` (UP = 0, DOWN = 1).  The legal moves of
+        each state, in link order, and the reverse adjacency the BFS walks
+        are built once; each destination keeps one flat distance list.
+        Queries read ``phase._value_``: the ``Enum.value`` property costs
+        about 20 times as much, on every lookup.
+        """
+        n = 2 * self.topo.num_switches
+        moves: list[list[tuple[Hop, int]]] = [[] for _ in range(n)]
+        rev: list[list[int]] = [[] for _ in range(n)]
+        for s in range(self.topo.num_switches):
+            for lk in self.topo.links_of(s):
+                t = lk.other_end(s).switch
+                if self.is_up_traversal(lk, s):
+                    # Up moves are legal only before the first down move.
+                    moves[2 * s].append((Hop(lk, t, Phase.UP), 2 * t))
+                    rev[2 * t].append(2 * s)
+                else:
+                    hop = Hop(lk, t, Phase.DOWN)
+                    for i in (2 * s, 2 * s + 1):
+                        moves[i].append((hop, 2 * t + 1))
+                        rev[2 * t + 1].append(i)
+        self._moves = [tuple(m) for m in moves]
+        self._dist = []
+        for dest in range(self.topo.num_switches):
+            dist = [-1] * n
+            dist[2 * dest] = dist[2 * dest + 1] = 0
+            frontier = [2 * dest, 2 * dest + 1]
             d = 0
             while frontier:
                 d += 1
@@ -175,19 +173,7 @@ class UpDownRouting:
                             dist[p] = d
                             nxt.append(p)
                 frontier = nxt
-            dest_dist = self._dist[dest]
-            dest_hops = self._hops[dest]
-            for i, st in enumerate(states):
-                if dist[i] < 0:
-                    continue
-                dest_dist[st] = dist[i]
-                if st[0] == dest:
-                    dest_hops[st] = ()
-                    continue
-                want = dist[i] - 1
-                dest_hops[st] = tuple(
-                    hop for hop, j in moves_of[i] if dist[j] == want
-                )
+            self._dist.append(dist)
 
     def distance(self, src: int, dest: int, phase: Phase = Phase.UP) -> int:
         """Minimal legal hop count between switches from a given phase.
@@ -196,7 +182,10 @@ class UpDownRouting:
             KeyError: if ``dest`` is unreachable from the state (cannot
                 happen for ``Phase.UP`` starts in a connected network).
         """
-        return self._dist[dest][(src, phase)]
+        d = self._dist[dest][2 * src + phase._value_]
+        if d < 0:
+            raise KeyError((src, phase))
+        return d
 
     def next_hops(self, switch: int, phase: Phase, dest: int) -> tuple[Hop, ...]:
         """Candidate next hops on minimal legal routes toward ``dest``.
@@ -204,10 +193,24 @@ class UpDownRouting:
         An empty tuple means ``switch == dest`` (already there); a missing
         state (packet in DOWN phase with no legal continuation) raises
         ``KeyError`` -- by up*/down* correctness this never occurs for routes
-        produced by this table itself.
+        produced by this table itself.  Hops come in link order.
         """
-        return self._hops[dest][(switch, phase)]
+        dist = self._dist[dest]
+        i = 2 * switch + phase._value_
+        d = dist[i]
+        if d <= 0:
+            if d < 0:
+                raise KeyError((switch, phase))
+            return ()
+        want = d - 1
+        # A plain loop: a comprehension's own frame costs more than the
+        # two to four moves a state usually has.
+        out: list[Hop] = []
+        for hop, j in self._moves[i]:
+            if dist[j] == want:
+                out.append(hop)
+        return tuple(out)
 
     def reachable(self, switch: int, phase: Phase, dest: int) -> bool:
         """Whether ``dest`` has any legal route from the state at all."""
-        return (switch, phase) in self._dist[dest]
+        return self._dist[dest][2 * switch + phase._value_] >= 0

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field
 
 from repro.params import SimParams
+from repro.routing.updown import UpDownRouting
 from repro.sim.crossval import multicast_route, route_steer
 from repro.sim.flitsim import FlitRoute
 from repro.sim.network import SimNetwork
@@ -55,15 +56,13 @@ class ShardScenario:
                 "defines the fault-abort order; see docs/sharding.md)"
             )
 
-    def plan_routes(self, routing=None) -> list[FlitRoute]:
+    def plan_routes(self, routing: UpDownRouting) -> list[FlitRoute]:
         """Static replication tree per job, planned on epoch-0 routing.
 
-        Pass the epoch-0 ``UpDownRouting`` of an already-built network to
-        avoid constructing a throwaway one (shard workers do; every worker
-        builds identical tables, so the plans are identical too).
+        ``routing`` is the epoch-0 ``UpDownRouting`` of the caller's network
+        (every shard worker builds identical tables, so the plans are
+        identical too).
         """
-        if routing is None:
-            routing = SimNetwork(self.topo, self.params).routing
         return [
             multicast_route(self.topo, routing, src, dsts)
             for _start, src, dsts in self.jobs
@@ -157,7 +156,7 @@ def run_serial(
             reconfig_latency=scenario.reconfig_latency,
         )
         injector.arm()
-    routes = scenario.plan_routes()
+    routes = scenario.plan_routes(net.routing)  # epoch 0: no fault has fired
     deliveries: dict[tuple[int, int], float] = {}
 
     for i, ((start, src, _dsts), route) in enumerate(
