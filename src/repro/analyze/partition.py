@@ -1,11 +1,14 @@
-"""Partition-safety certifier for the sharded simulation.
+"""Partition-safety certifier for the experiment runner's cells.
 
-The sharded runner (``repro.shard``, docs/sharding.md) shards a
-512--1024-switch network across worker partitions, each running its own
-:class:`SimNetwork` + :class:`Engine` pair under a Chandy--Misra-style
-conservative protocol.  That only works if the code a
-worker executes cannot reach *shared* mutable state: module-level
-containers, class variables, or another partition's ``SimNetwork``.
+The experiment runner (``repro.experiments.runner``) decomposes every
+experiment into independently seeded *cells* and, under ``--jobs N``, runs
+them in a pool of worker processes that each execute many cells in turn.
+Results must be byte-identical at every ``jobs`` count and cache state.
+That only holds if the code a cell executes cannot reach *shared* mutable
+state: module-level containers, class variables, or another cell's
+``SimNetwork``.  A write to any of them survives into the next cell the
+same worker runs, so a cell's result would depend on which cells happened
+to share its process.
 
 This module classifies every simulation module (``SIM_SCOPES``) into one of
 three partition-safety classes and certifies the classification as findings
@@ -14,27 +17,27 @@ plus a machine-readable manifest (``analyze-manifest.json``):
 ``shareable-immutable``
     No module-level mutable objects and no instance-mutating public API
     outside construction.  Instances (and the module itself) can be shared
-    read-only across partitions -- topologies, routing tables, params.
+    read-only across cells -- topologies, routing tables, params.
 
 ``partition-local``
     Holds mutable state, but only *instance* state (or module registries
-    frozen after import).  Each partition must own its own instances;
-    sharing one across partitions is a race.
+    frozen after import).  Each cell must own its own instances; sharing
+    one across cells leaks state between them.
 
 ``cross-partition-mutating``
     A function reachable from a runner cell writes a module-level mutable
     object at runtime, or writes another component's ``SimNetwork``/
     ``Engine`` state from outside the sim layer.  This is the class the
-    certifier *fails* on: such code cannot be sharded without a lock or a
-    refactor, so each occurrence must be fixed or carry a justified
-    suppression.
+    certifier *fails* on: such code makes a cell's result depend on the
+    cells that ran before it in the same process, so each occurrence must
+    be fixed or carry a justified suppression.
 
 Runner-cell reachability starts from the experiment entry points
 (:func:`repro.experiments.runner.run_cell` and the traffic measurement
 functions it dispatches to) and follows the resolved call graph.  Writes
 through the sanctioned coordination API -- the ``ExecutionContext``
 contextvar in ``experiments/runner.py`` -- are exempt: that is the one
-blessed cross-cell channel, and the sharded runner will own its migration.
+blessed cross-cell channel.
 """
 
 from __future__ import annotations
@@ -103,13 +106,13 @@ class PartitionViolation:
             return (
                 f"{self.function.split(':')[-1]}() is reachable from "
                 f"{self.root.split(':')[-1]}() and mutates module-level "
-                f"state {self.target}; shard workers would race on it -- "
-                "move it onto an instance owned by the partition or route "
-                "it through ExecutionContext"
+                f"state {self.target}; it leaks into every later cell the "
+                "same --jobs worker runs -- move it onto an instance the "
+                "cell owns or route it through ExecutionContext"
             )
         return (
             f"{self.function.split(':')[-1]}() mutates {self.target} on a "
-            "parameter from outside the sim layer; only the partition that "
+            "parameter from outside the sim layer; only the cell that "
             "owns a SimNetwork/Engine may write it"
         )
 

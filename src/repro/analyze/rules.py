@@ -150,10 +150,9 @@ def check_unordered_into_sink(files: dict[str, ParsedFile]) -> list[Finding]:
         "state (outside the ExecutionContext API)"
     ),
     rationale=(
-        "the sharded runner (repro.shard) partitions the simulation across "
-        "workers; "
-        "module globals are process-shared, so a runner-reachable write is "
-        "a data race the moment cells run in threads or shards."
+        "under --jobs each worker process runs many cells in turn; a "
+        "runner-reachable write to module globals survives into the next "
+        "cell, so its result would depend on which cells shared the worker."
     ),
 )
 def check_runtime_global_mutation(
@@ -182,9 +181,9 @@ def check_runtime_global_mutation(
         "they are handed (observer slots trace/worm_log excepted)"
     ),
     rationale=(
-        "a SimNetwork belongs to exactly one partition; measurement and "
+        "a SimNetwork belongs to exactly one runner cell; measurement and "
         "planning code writing it from outside the sim layer is a "
-        "cross-partition write the sharded runner cannot serialize."
+        "cross-partition write that breaks that ownership."
     ),
 )
 def check_cross_network_mutation(

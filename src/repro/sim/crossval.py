@@ -18,7 +18,9 @@ This module provides the common plumbing:
   *identical* static tree -- any timing disagreement is then a modelling
   bug, never a routing difference;
 * :func:`run_event_scenario` / :func:`run_flit_scenario` execute a job list
-  on each backend and return ``{(worm_index, node): tail_time}``.
+  on each backend and return ``{(worm_index, node): tail_time}``; the event
+  runner can also record a trace and fire a static fault schedule, which
+  makes it the pinned serial reference of ``tests/test_serial_trace.py``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from repro.params import SimParams
 from repro.routing.updown import UpDownRouting
 from repro.sim.flitsim import FlitLevelFabric, FlitRoute, unicast_route
 from repro.sim.network import SimNetwork
+from repro.sim.tracelog import TraceLog
 from repro.sim.worm import Deliver, Forward, SteerFn, Worm
 from repro.topology.graph import NetworkTopology
 
@@ -113,10 +116,30 @@ def route_steer(net: SimNetwork, route: FlitRoute) -> SteerFn:
 
 
 def run_event_scenario(
-    topo: NetworkTopology, params: SimParams, jobs: list[Job]
+    topo: NetworkTopology,
+    params: SimParams,
+    jobs: list[Job] | tuple[Job, ...],
+    *,
+    trace: TraceLog | None = None,
+    fault_pairs: tuple[tuple[float, int], ...] = (),
 ) -> dict[tuple[int, int], float]:
-    """Run ``jobs`` on the worm-level event backend; return delivery times."""
+    """Run ``jobs`` on the worm-level event backend; return delivery times.
+
+    Every job's tree is planned on the epoch-0 routing and job ``i``'s worm
+    is labelled ``w<i>`` and registered with the network, so ``trace``
+    (when given) records each worm under that label.  ``fault_pairs`` are
+    ``(time, link_id)`` runtime faults fired by
+    :class:`~repro.chaos.injector.FaultInjector`; routes stay static, so a
+    fault on a link some *future* job needs is outside this runner's
+    contract.  No fault listener is registered, so the injector's
+    ``reconfig_latency`` has nothing to delay and is left at its default.
+    """
     net = SimNetwork(topo, params)
+    net.trace = trace
+    if fault_pairs:
+        from repro.chaos import FaultInjector, FaultSchedule
+
+        FaultInjector(net, FaultSchedule.from_pairs(list(fault_pairs))).arm()
     rt = net.routing
     out: dict[tuple[int, int], float] = {}
     for i, (start, src, dsts) in enumerate(jobs):
@@ -129,7 +152,10 @@ def run_event_scenario(
                 route_steer(net, route),
                 on_delivered=lambda n, t, i=i: out.__setitem__((i, n), t),
                 rng=net.rng,
+                label=f"w{i}",
+                trace=trace,
             )
+            net.register_worm(w)
             w.start(net.fabric.inject[src], route)
 
         if start == 0:
