@@ -19,12 +19,8 @@ this package sees the *whole* ``repro`` package at once:
   (degrade -> rebuild up*/down* -> multicast CDG) and proves acyclicity and
   reachability at *every* routing epoch, not just epoch 0.
 
-Entry points: ``python -m repro.analyze`` / ``repro-analyze`` (see
-:mod:`~repro.analyze.cli`), plus registration of the code rules into the
-:mod:`repro.lint` registry (:mod:`~repro.analyze.rules`) so one lint
-invocation runs both passes.
+The package has no front end of its own: :mod:`~repro.analyze.rules`
+registers the analyzers into the :mod:`repro.lint` registry, and
+``repro-lint`` (:func:`repro.lint.run_lint`) runs them, checks the manifest
+and verifies the corpus epochs.
 """
-
-from repro.analyze.engine import AnalysisResult, run_analysis
-
-__all__ = ["AnalysisResult", "run_analysis"]

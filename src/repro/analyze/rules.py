@@ -1,7 +1,7 @@
 """Lint-registry bridge: the whole-program analyzers as lint rules.
 
-Importing this module registers four rules, so ``repro-lint`` and
-``repro-analyze`` agree on rule ids, severities, and suppressions:
+Importing this module registers four rules into the ``repro-lint``
+registry, each with ``justify=True``: suppressing one needs a `` -- why``.
 
 * ``identity-in-sim`` (code) -- ``id()`` / ``os.environ`` inside simulation
   scopes;
@@ -11,9 +11,9 @@ Importing this module registers four rules, so ``repro-lint`` and
 * ``cross-network-mutation`` (project) -- writes to ``SimNetwork`` /
   ``Engine`` state from outside the sim layer.
 
-The three project rules share one :class:`ProjectIndex` + effects pass per
-file set (cached on source content), so registering them adds a single
-whole-program walk to a lint run, not three.
+The three project rules and :func:`partition_manifest` share one
+:class:`ProjectIndex` + effects pass per file set (cached on source
+content), so a lint run makes a single whole-program walk, not four.
 """
 
 from __future__ import annotations
@@ -21,7 +21,11 @@ from __future__ import annotations
 import ast
 
 from repro.analyze.effects import EffectsReport, infer_effects
-from repro.analyze.partition import PartitionReport, certify_partition_safety
+from repro.analyze.partition import (
+    PartitionReport,
+    certify_partition_safety,
+    manifest_dict,
+)
 from repro.analyze.project import ProjectIndex, dotted_name
 from repro.analyze.taint import analyze_taint
 from repro.lint.findings import Finding, Severity
@@ -49,6 +53,12 @@ def _analysis_for(
     return hit
 
 
+def partition_manifest(files: dict[str, ParsedFile]) -> dict:
+    """The partition-safety manifest (``analyze-manifest.json``) payload."""
+    _index, _effects, partition = _analysis_for(files)
+    return manifest_dict(partition, SIM_SCOPES)
+
+
 def _sim_modules(index: ProjectIndex) -> list[str]:
     """Modules the determinism rules apply to (sim scopes + fixtures)."""
     return sorted(
@@ -74,6 +84,7 @@ def _sim_modules(index: ProjectIndex) -> list[str]:
         "byte-identical-trace contract (DESIGN.md §6)."
     ),
     scopes=SIM_SCOPES,
+    justify=True,
 )
 def check_identity_in_sim(
     tree: ast.Module, path: str, scope: str | None
@@ -123,6 +134,7 @@ def check_identity_in_sim(
         "heappush, or derive_seed not laundered through sorted(...) makes "
         "the trace digest a function of memory layout instead of inputs."
     ),
+    justify=True,
 )
 def check_unordered_into_sink(files: dict[str, ParsedFile]) -> list[Finding]:
     index, _effects, _partition = _analysis_for(files)
@@ -154,6 +166,7 @@ def check_unordered_into_sink(files: dict[str, ParsedFile]) -> list[Finding]:
         "runner-reachable write to module globals survives into the next "
         "cell, so its result would depend on which cells shared the worker."
     ),
+    justify=True,
 )
 def check_runtime_global_mutation(
     files: dict[str, ParsedFile],
@@ -185,6 +198,7 @@ def check_runtime_global_mutation(
         "planning code writing it from outside the sim layer is a "
         "cross-partition write that breaks that ownership."
     ),
+    justify=True,
 )
 def check_cross_network_mutation(
     files: dict[str, ParsedFile],

@@ -6,6 +6,8 @@ Examples::
     repro-lint src/repro --json
     repro-lint src/repro --no-model
     repro-lint src/repro --topology topo.json --model-seeds 1,2,3,4
+    repro-lint src/repro --corpus /tmp/found   # plus tests/fuzz_corpus
+    repro-lint src/repro --write-manifest      # refresh analyze-manifest.json
     repro-lint --list-rules
 
 Exit status: 0 when no error-severity findings, 1 when there are findings,
@@ -35,8 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=(
-            "Static analysis for simulator determinism and up*/down* "
-            "model invariants."
+            "Static analysis for simulator determinism, partition safety "
+            "and up*/down* model invariants."
         ),
     )
     parser.add_argument(
@@ -50,7 +52,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-model",
         action="store_true",
-        help="skip the topology/routing model rules (code rules only)",
+        help=(
+            "skip the topology/routing model rules and corpus epoch "
+            "verification (code and project rules only)"
+        ),
     )
     parser.add_argument(
         "--model-seeds",
@@ -65,6 +70,25 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         metavar="FILE",
         help="also run model rules on a saved topology JSON (repeatable)",
+    )
+    parser.add_argument(
+        "--corpus",
+        action="append",
+        default=[],
+        metavar="DIR",
+        help=(
+            "also verify every routing epoch of this corpus's fault "
+            "schedules (repeatable; tests/fuzz_corpus is always verified "
+            "on a src/repro run)"
+        ),
+    )
+    parser.add_argument(
+        "--write-manifest",
+        action="store_true",
+        help=(
+            "rewrite analyze-manifest.json instead of diffing it (needs "
+            "src/repro as the only path)"
+        ),
     )
     parser.add_argument(
         "--list-rules",
@@ -101,6 +125,8 @@ def main(argv: list[str] | None = None) -> int:
             run_model=not args.no_model,
             model_seeds=args.model_seeds,
             topology_files=[pathlib.Path(t) for t in args.topology],
+            corpus_dirs=[pathlib.Path(c) for c in args.corpus],
+            write_manifest=args.write_manifest,
         )
     except (FileNotFoundError, LintUsageError) as exc:
         print(str(exc), file=sys.stderr)

@@ -1,11 +1,14 @@
 """Rule registry: every lint rule declares itself here.
 
-Three rule kinds exist, distinguished by what they inspect:
+Four rule kinds exist, distinguished by what they inspect:
 
 * ``code`` rules visit one file's AST at a time (the determinism rules);
 * ``project`` rules see every scanned file at once (import cycles);
 * ``model`` rules inspect a loaded topology + routing rather than source
-  text (the paper's structural invariants).
+  text (the paper's structural invariants);
+* ``engine`` rules have no check function: the engine emits them itself
+  (unparsable files, unjustified suppressions, manifest drift, corpus
+  epochs), and they are declared here so ``--list-rules`` names them.
 
 Registration happens at import time of the rule modules; the engine imports
 them and iterates the registry, so adding a rule is one decorated function.
@@ -44,17 +47,28 @@ class Rule:
     """Sub-packages the rule applies to (None = everywhere).  A file whose
     scope cannot be determined (e.g. a loose fixture file) gets every rule."""
 
-    check: Callable
+    check: Callable | None
     """code: (tree, path, scope) -> list[Finding];
     project: (files: dict[str, ParsedFile]) -> list[Finding];
-    model: (ctx: ModelContext) -> list[Finding]."""
+    model: (ctx: ModelContext) -> list[Finding];
+    engine: None."""
+
+    justify: bool = False
+    """Whether a suppression of this rule must say why (`` -- reason``);
+    a bare one is reported as ``unjustified-suppression``."""
 
 
 CODE_RULES: dict[str, Rule] = {}
 PROJECT_RULES: dict[str, Rule] = {}
 MODEL_RULES: dict[str, Rule] = {}
+ENGINE_RULES: dict[str, Rule] = {}
 
-_KIND_TABLE = {"code": CODE_RULES, "project": PROJECT_RULES, "model": MODEL_RULES}
+_KIND_TABLE = {
+    "code": CODE_RULES,
+    "project": PROJECT_RULES,
+    "model": MODEL_RULES,
+    "engine": ENGINE_RULES,
+}
 
 
 def rule(
@@ -64,11 +78,12 @@ def rule(
     rationale: str,
     severity: Severity = Severity.ERROR,
     scopes: frozenset[str] | None = None,
+    justify: bool = False,
 ) -> Callable:
     """Decorator registering a check function as a lint rule."""
     table = _KIND_TABLE[kind]
 
-    def wrap(fn: Callable) -> Callable:
+    def wrap(fn: Callable | None) -> Callable | None:
         if rule_id in all_rules():
             raise ValueError(f"duplicate rule id {rule_id!r}")
         table[rule_id] = Rule(
@@ -79,10 +94,16 @@ def rule(
             rationale=rationale,
             scopes=scopes,
             check=fn,
+            justify=justify,
         )
         return fn
 
     return wrap
+
+
+def engine_rule(rule_id: str, description: str, rationale: str) -> None:
+    """Declare an error-severity finding the engine emits itself."""
+    rule(rule_id, "engine", description, rationale)(None)
 
 
 def all_rules() -> dict[str, Rule]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 from repro.lint.engine import LintResult
 from repro.lint.findings import Severity
@@ -14,9 +15,17 @@ def render_text(result: LintResult) -> str:
     lines = [f.render() for f in result.findings]
     n_err = len(result.errors)
     n_warn = len(result.findings) - n_err
+    modules = result.manifest.get("modules", {})
+    classes = Counter(e["classification"] for e in modules.values())
+    class_summary = ", ".join(
+        f"{n} {name}" for name, n in sorted(classes.items())
+    ) or "none"
     summary = (
         f"{result.files_scanned} file(s), "
-        f"{result.contexts_checked} model context(s): "
+        f"{result.contexts_checked} model context(s), "
+        f"{len(modules)} sim module(s) classified ({class_summary}), "
+        f"{len(result.epochs_verified)} corpus entr(ies) / "
+        f"{sum(result.epochs_verified.values())} epoch(s) verified: "
         f"{n_err} error(s), {n_warn} warning(s)"
     )
     if result.suppressed:
@@ -39,8 +48,13 @@ def render_json(result: LintResult) -> str:
             ),
         },
         "findings": [f.to_json() for f in result.findings],
+        "manifest": result.manifest,
+        "epochs_verified": result.epochs_verified,
     }
     return json.dumps(payload, indent=2, sort_keys=True)
+
+
+_KIND_SCOPES = {"model": "topology+routing", "engine": "whole run"}
 
 
 def render_rule_list() -> str:
@@ -50,11 +64,13 @@ def render_rule_list() -> str:
 
     blocks = []
     for rule_id, r in sorted(all_rules().items()):
-        scope = "all code" if r.scopes is None else "/".join(sorted(r.scopes))
-        if r.kind == "model":
-            scope = "topology+routing"
+        scope = _KIND_SCOPES.get(r.kind) or (
+            "all code" if r.scopes is None else "/".join(sorted(r.scopes))
+        )
+        justify = ", needs ' -- why'" if r.justify else ""
         blocks.append(
-            f"{rule_id} [{r.kind}, {r.severity.value}, scope: {scope}]\n"
+            f"{rule_id} [{r.kind}, {r.severity.value}, scope: {scope}"
+            f"{justify}]\n"
             f"  {r.description}\n"
             f"  why: {r.rationale}"
         )

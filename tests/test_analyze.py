@@ -1,10 +1,11 @@
 """Planted-violation tests for the whole-program analyzers.
 
 Every analyzer rule gets a fixture tree that violates it (and a minimally
-different one that does not), the suppression mechanics get regression
-coverage for multi-line statements and justification enforcement, and the
-epoch-sequence verifier is proven to detect a planted epoch-1 CDG cycle --
-a checker that cannot find the bug it exists for proves nothing by passing.
+different one that does not), linted by the one ``repro-lint`` engine; the
+suppression mechanics get regression coverage for multi-line statements
+and justification enforcement, and the epoch-sequence verifier is proven
+to detect a planted epoch-1 CDG cycle -- a checker that cannot find the
+bug it exists for proves nothing by passing.
 """
 
 import pathlib
@@ -12,13 +13,11 @@ import textwrap
 
 import pytest
 
-from repro.analyze import run_analysis
 from repro.analyze.epochs import verify_epoch_sequence
 from repro.lint import run_lint
 from repro.lint.suppress import (
-    is_suppressed,
+    find_suppression,
     parse_suppression_comments,
-    parse_suppressions,
     statement_anchors,
 )
 from repro.routing.bfs_tree import build_bfs_tree
@@ -35,7 +34,7 @@ def write_tree(root: pathlib.Path, files: dict[str, str]) -> pathlib.Path:
 
 
 def analyze(root: pathlib.Path):
-    return run_analysis([root])
+    return run_lint([root], run_model=False)
 
 
 def rules_found(result) -> set[str]:
@@ -279,14 +278,17 @@ class TestSuppressions:
         anchors = statement_anchors(ast.parse(source))
         assert anchors[1] == 1
         assert anchors[3] == 2 and anchors[4] == 2
-        supp = parse_suppressions(
+        comments = parse_suppression_comments(
             "x = 1\n"
             "y = (  # lint: disable=some-rule\n"
         )
-        assert supp == {2: frozenset({"some-rule"})}
-        assert is_suppressed(supp, "some-rule", 3, None) is False
-        assert is_suppressed(supp, "some-rule", 3, {3: 1}) is False
-        assert is_suppressed(supp, "some-rule", 3, anchors) is True
+        assert list(comments) == [2]
+        assert comments[2].rules == frozenset({"some-rule"})
+        assert find_suppression(comments, "some-rule", 3, {}) is None
+        assert find_suppression(comments, "some-rule", 3, {3: 1}) is None
+        assert find_suppression(comments, "some-rule", 3, anchors) == \
+            (2, comments[2])
+        assert find_suppression(comments, "other-rule", 3, anchors) is None
 
     def test_justification_parsing(self):
         comments = parse_suppression_comments(
