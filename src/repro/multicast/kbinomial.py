@@ -18,6 +18,7 @@ whose numeric tables the OCR'd text does not preserve.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from repro.multicast.base import MulticastResult, MulticastScheme
@@ -143,15 +144,21 @@ def estimate_fpfs_completion(
 def choose_k(
     net: SimNetwork, source: int, ordered_dests: list[int]
 ) -> tuple[int, dict[int, list[int]]]:
-    """Pick the fan-out minimising the analytic FPFS completion estimate."""
+    """Pick the fan-out minimising the analytic FPFS completion estimate.
+
+    Every ``k`` at or above ``len(ordered_dests).bit_length()`` (that is,
+    ceil(log2) of the member count) builds the plain binomial tree, and ties
+    keep the smaller ``k``, so the search stops there.
+    """
     members = [source] + ordered_dests
+    # One latency per member pair per plan, shared by every candidate k.
+    hop_latency = functools.cache(
+        lambda a, b: base_packet_hop_latency(net, a, b)
+    )
     best: tuple[float, int, dict[int, list[int]]] | None = None
-    for k in range(1, min(MAX_K, len(ordered_dests)) + 1):
+    for k in range(1, min(MAX_K, len(ordered_dests).bit_length()) + 1):
         tree = build_k_binomial_tree(members, k)
-        est = estimate_fpfs_completion(
-            tree, source, net.params,
-            lambda a, b: base_packet_hop_latency(net, a, b),
-        )
+        est = estimate_fpfs_completion(tree, source, net.params, hop_latency)
         if best is None or est < best[0]:
             best = (est, k, tree)
     assert best is not None

@@ -8,8 +8,8 @@ flit streaming through per-hop input buffers:
 
 The per-flit send schedule of every hop is the least fixed point of three
 constraint families (rate limit from the grant, flit availability from the
-parent hop, and buffer backpressure from the next hop -- see the comment on
-:meth:`Worm._send_bound`), evaluated lazily as grants occur.  When the
+parent hop, and buffer backpressure from the next hop -- see the comment
+above :meth:`Worm._refinalize`), evaluated lazily as grants occur.  When the
 downstream buffer holds a whole packet a blocked packet absorbs into it and
 frees its upstream channels -- virtual cut-through; with small buffers the
 worm stalls spanning several channels -- wormhole chain-blocking.
@@ -24,10 +24,11 @@ the cycle-accurate reference backend (:mod:`repro.sim.flitsim`) reproduces
 both behaviours, and the cross-validation suite pins this model to it.
 
 Complexity: finalization is event-driven -- each grant or expansion
-re-attempts only the changed hop and the hops whose constraint walks are
-registered as blocked on it, so a grant costs O(affected hops x walk
-length) rather than rescanning the whole replication tree (see
-:meth:`Worm._refinalize`).
+re-attempts only the changed hop and the hops whose constraint walks
+returned it as their blocker, and each walk is an explicit-stack loop that
+stores every bound it settles in a per-hop table, so a (hop, flit index)
+bound is computed at most once per worm (see :meth:`Worm._refinalize` and
+:meth:`Worm._walk`).
 """
 
 from __future__ import annotations
@@ -72,19 +73,6 @@ SteerFn = Callable[[int, object], list["Deliver | Forward"]]
 """(switch, state) -> replication instructions at this switch."""
 
 
-class _NotFinal(Exception):
-    """A tail-time bound still depends on a pending grant/expansion.
-
-    Carries the *blocker*: the ungranted/unexpanded hop the constraint walk
-    stopped at.  The failed hop parks itself on the blocker's waiter list
-    and is only re-attempted when that hop changes state.
-    """
-
-    def __init__(self, blocker: "_Hop") -> None:
-        super().__init__("tail-time bound not final")
-        self.blocker = blocker
-
-
 @dataclass
 class _Hop:
     """One granted-or-requested channel on the worm's replication tree."""
@@ -103,6 +91,10 @@ class _Hop:
     counted: bool = False   # traffic committed to the channel's counters
     waiters: list["_Hop"] = field(default_factory=list, repr=False)
     """Hops whose last finalization attempt blocked on this hop."""
+    bounds: dict[int, float] = field(default_factory=dict, repr=False)
+    """Final ``send_h(m)`` by flit index ``m`` (see :meth:`Worm._walk`).
+    An entry is written once, when every hop its walk reaches is settled,
+    and never changes afterwards."""
 
 
 class Worm:
@@ -339,12 +331,8 @@ class Worm:
         ground truth the fuzz oracles audit: every root-to-leaf chain must
         be a contiguous legal up*/down* route ending in a delivery channel.
         """
-        # Transient identity->index map: every hop is kept alive by
-        # self._hops for the whole comprehension (no id reuse window), and
-        # only the stable creation-order index leaves this method.
-        index = {id(h): i for i, h in enumerate(self._hops)}  # lint: disable=identity-in-sim -- hops pinned by self._hops; only indices escape
-        return [  # lint: disable=identity-in-sim -- same transient map, same pinned hops
-            (None if h.parent is None else index[id(h.parent)], h.channel)
+        return [
+            (None if h.parent is None else h.parent.idx, h.channel)
             for h in self._hops
         ]
 
@@ -369,103 +357,125 @@ class Worm:
     #                                                   ALL children gate a
     #                                                   fork's shared feed)
     #
-    # The tail time of hop h is delay_h + send_h(L-1), computed by
-    # relaxation over these constraint "walks".  Down-moves strictly
-    # decrease the flit index by the buffer capacity, so the recursion
-    # terminates; the value is *final* once every hop a walk can visit at a
-    # non-negative index has been granted (and expanded, where its children
-    # matter).  For single-chain worms this reduces exactly to the old
-    # closed form; for replication trees it also captures a blocked branch
-    # starving its siblings through the shared buffer.
+    # The tail time of hop h is delay_h + send_h(L-1), the least fixed
+    # point of these constraints over the (hop, flit index) lattice.
+    # Moving up keeps the index and moving down lowers it by the buffer
+    # capacity, so the lattice is acyclic.  A point's value is *final* once
+    # every hop reachable from it at a non-negative index has been granted
+    # (and expanded, where its children matter); for single-chain worms this
+    # reduces exactly to the old closed form, and for replication trees it
+    # also captures a blocked branch starving its siblings through the
+    # shared buffer.
+    #
+    # Each final value is computed once per worm and kept in the hop's
+    # ``bounds`` table.  That is sound because grant and expand are one-way
+    # transitions and a channel's delay and buffer never change, so nothing
+    # a final value was derived from can change later.
     #
     # Finalization is event-driven rather than a full rescan per grant: a
-    # walk aborts at its *first* ungranted/unexpanded hop, and nothing
-    # before that blocker can change (hops are granted before they expand
-    # and both transitions are one-way), so the walk's outcome is frozen
-    # until the blocker itself changes.  Each failed hop therefore parks on
-    # its blocker's waiter list, and a state change re-attempts exactly the
+    # walk stops at its *first* unsettled hop and returns it as the
+    # *blocker*.  Nothing the walk already settled can change, so its
+    # outcome is frozen until the blocker itself changes: the hop parks on
+    # the blocker's waiter list, and a state change re-attempts exactly the
     # changed hop plus its registered waiters -- O(affected) per grant, not
-    # O(all hops).  Candidates are re-attempted in hop-creation order, which
-    # keeps the engine's same-time event sequence identical to the full
-    # rescan (ties fire in schedule order).
+    # O(all hops).  Whichever blocker a walk returns, it is a hop the final
+    # value depends on, so a hop finalizes in the re-attempt of the last
+    # such hop to settle.  Candidates are re-attempted in hop-creation
+    # order, which keeps the engine's same-time event sequence identical to
+    # the full rescan (ties fire in schedule order).
 
     def _refinalize(self, changed: _Hop) -> None:
         """Re-attempt tail finalization for ``changed`` and its waiters."""
         if self.aborted:
             return
-        candidates = [changed]
         if changed.waiters:
-            candidates.extend(changed.waiters)
+            candidates = sorted([changed, *changed.waiters], key=lambda h: h.idx)
             changed.waiters = []
-        candidates.sort(key=lambda h: h.idx)
-        L = self.length
-        memo: dict[tuple[int, int], float] = {}
+        else:
+            candidates = [changed]
+        last = self.length - 1
         now = self.engine.now
-        attempted: set[int] = set()
+        previous = -1
         for hop in candidates:
-            if hop.release_scheduled or hop.idx in attempted:
+            # Sorted, so a hop parked on ``changed`` twice is adjacent.
+            if hop.idx == previous or hop.release_scheduled:
                 continue
-            attempted.add(hop.idx)
-            try:
-                tail = hop.channel.delay + self._send_bound(hop, L - 1, memo)
-            except _NotFinal as nf:
-                nf.blocker.waiters.append(hop)
+            previous = hop.idx
+            if not hop.expanded and last > hop.channel.downstream_buffer:
+                # The tail bound reads this hop's children, so it cannot be
+                # final before the hop's own expansion, which re-attempts
+                # it (``_expand`` ends in ``_refinalize(hop)``): no walk.
+                continue
+            parent = hop.parent
+            if (parent is not None and not parent.expanded
+                    and last > parent.channel.downstream_buffer):
+                # Granted inside the parent's ``_expand`` loop: the walk
+                # would stop at the parent, so park there without it.
+                parent.waiters.append(hop)
+                continue
+            blocker = self._walk(hop, last)
+            if blocker is not None:
+                blocker.waiters.append(hop)
                 continue
             hop.release_scheduled = True
-            when = max(tail, now)
+            when = max(hop.channel.delay + hop.bounds[last], now)
             self.engine.at(when, lambda h=hop: self._release(h))
             if hop.terminal:
                 node = hop.channel.to_node
                 assert node is not None
                 self.engine.at(when, lambda n=node: self._delivered(n))
 
-    def _send_bound(
-        self, hop: _Hop, idx: int, memo: dict[tuple[int, int], float]
-    ) -> float:
-        """Tightest lower bound on when flit ``idx`` enters ``hop``'s channel.
+    @staticmethod
+    def _walk(hop: _Hop, idx: int) -> "_Hop | None":
+        """Settle ``hop.bounds[idx]``, the earliest time flit ``idx`` can
+        enter ``hop``'s channel; return ``None`` once it is final.
 
-        Raises :class:`_NotFinal` (carrying the blocking hop) when an
-        ungranted/unexpanded hop within the constraint horizon makes the
-        value still unbounded.
+        Otherwise returns the *blocker*: the first ungranted (or, where its
+        children matter, unexpanded) hop the constraint walk reached.  The
+        walk is depth-first over an explicit stack, parent before child, and
+        writes every point it settles on the way into its hop's table, so no
+        point is evaluated twice.
         """
-        if hop.h is None:
-            raise _NotFinal(hop)
-        # The memo dict lives only for one tail-time computation and every
-        # hop in it is pinned by the replication tree, so identities are
-        # stable for the memo's whole lifetime and never escape it.
-        key = (id(hop), idx)  # lint: disable=identity-in-sim -- memo is call-local; hops pinned by the tree
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        grant = hop.h - hop.channel.delay
-        best = grant + idx
-        if hop.parent is not None:
-            best = max(
-                best,
-                self._send_bound(hop.parent, idx, memo)
-                + hop.parent.channel.delay,
-            )
-        cap = hop.channel.downstream_buffer + 1
-        if idx - cap >= 0 and not hop.terminal:
-            if not hop.expanded:
-                raise _NotFinal(hop)
-            # Replicating switches provide deadlock-free replication
-            # (paper section 3.3): every fork port has its own full-packet
-            # replication buffer, so a blocked branch neither starves its
-            # siblings nor back-pressures the shared feed.  Without this,
-            # two tree worms replicating across each other genuinely
-            # deadlock (the flit-level reference reproduces that), which is
-            # precisely why the paper lists the support as a switch cost.
-            if len(hop.children) == 1:
-                child = hop.children[0]
-                best = max(
-                    best,
-                    self._send_bound(child, idx - cap, memo)
-                    + child.channel.delay
-                    - hop.channel.delay,
-                )
-        memo[key] = best
-        return best
+        stack = [(hop, idx)]
+        while stack:
+            h, i = stack[-1]
+            if h.h is None:
+                return h
+            delay = h.channel.delay
+            best = h.h - delay + i
+            parent = h.parent
+            if parent is not None:
+                up = parent.bounds.get(i)
+                if up is None:
+                    stack.append((parent, i))
+                    continue
+                up += parent.channel.delay
+                if up > best:
+                    best = up
+            j = i - h.channel.downstream_buffer - 1
+            if j >= 0 and not h.terminal:
+                if not h.expanded:
+                    return h
+                # Replicating switches provide deadlock-free replication
+                # (paper section 3.3): every fork port has its own
+                # full-packet replication buffer, so a blocked branch
+                # neither starves its siblings nor back-pressures the shared
+                # feed.  Without this, two tree worms replicating across
+                # each other genuinely deadlock (the flit-level reference
+                # reproduces that), which is precisely why the paper lists
+                # the support as a switch cost.
+                if len(h.children) == 1:
+                    child = h.children[0]
+                    down = child.bounds.get(j)
+                    if down is None:
+                        stack.append((child, j))
+                        continue
+                    down = down + child.channel.delay - delay
+                    if down > best:
+                        best = down
+            h.bounds[i] = best
+            stack.pop()
+        return None
 
     def _release(self, hop: _Hop) -> None:
         if hop.released:

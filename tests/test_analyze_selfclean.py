@@ -34,6 +34,5 @@ def test_repo_tree_is_analyze_clean():
     assert result.findings == [], f"analyze regressions:\n{rendered}"
     assert result.exit_code == 0
     assert result.epochs_verified
-    # The three id() suppressions in sim/worm.py carry justifications and
-    # are the only expected ones; a new suppression needs a review here.
-    assert result.suppressed == 3
+    # The shipped tree needs no suppressions; a new one needs a review here.
+    assert result.suppressed == 0

@@ -38,9 +38,8 @@ def test_repo_tree_is_lint_clean(full_run):
     rendered = "\n".join(f.render() for f in result.findings)
     assert result.findings == [], f"lint regressions:\n{rendered}"
     assert result.exit_code == 0
-    # The three id() suppressions in sim/worm.py carry justifications and
-    # are the only expected ones; a new suppression needs a review here.
-    assert result.suppressed == 3
+    # The shipped tree needs no suppressions; a new one needs a review here.
+    assert result.suppressed == 0
 
 
 def test_code_only_run_is_also_clean():

@@ -7,6 +7,8 @@ import pytest
 
 from repro.multicast.binomial import build_binomial_tree, tree_depth_in_steps
 from repro.multicast.kbinomial import (
+    MAX_K,
+    base_packet_hop_latency,
     build_k_binomial_tree,
     choose_k,
     estimate_fpfs_completion,
@@ -102,6 +104,26 @@ class TestKSelection:
         k, tree = choose_k(net, 0, dests)
         assert 1 <= k <= 8
         assert tree_members(tree, 0) == set([0] + dests)
+
+    @pytest.mark.parametrize("message_packets", [1, 4])
+    def test_choose_k_matches_exhaustive_search(self, message_packets):
+        # choose_k stops at the saturated fan-out ceil(log2(members)); the
+        # full 1..MAX_K search (strict <, so the smallest k wins ties) must
+        # pick the same k and tree for every group size.
+        net = default_net(message_packets=message_packets)
+        p = net.params
+        order = random.Random(5).sample(range(1, p.num_nodes), p.num_nodes - 1)
+        for size in range(1, p.num_nodes):
+            dests = order[:size]
+            best = None
+            for k in range(1, min(MAX_K, size) + 1):
+                tree = build_k_binomial_tree([0] + dests, k)
+                est = estimate_fpfs_completion(
+                    tree, 0, p, lambda a, b: base_packet_hop_latency(net, a, b)
+                )
+                if best is None or est < best[0]:
+                    best = (est, k, tree)
+            assert choose_k(net, 0, dests) == (best[1], best[2]), size
 
     def test_multi_packet_prefers_smaller_k(self):
         # Long messages raise the per-child serialisation cost (m * o_ni per
